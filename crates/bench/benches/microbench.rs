@@ -135,6 +135,20 @@ fn bench_search(c: &mut Criterion) {
     group.bench_function("index_build_full_corpus", |b| {
         b.iter(|| teda_websim::index::InvertedIndex::build(black_box(&pages)).n_terms())
     });
+    // The same query over the Web padded with 400k noise pages (~414k
+    // in all): a per-query cost that grows with the collection, not
+    // with the pages the query touches, shows here.
+    let padded = WebCorpus::build(
+        &world,
+        WebCorpusSpec {
+            noise_pages: 400_000,
+            ..WebCorpusSpec::default()
+        },
+        42,
+    );
+    group.bench_function("index_heap_top10_noise_400k", |b| {
+        b.iter(|| padded.index().search(black_box(&name), 10).len())
+    });
     group.finish();
 }
 

@@ -23,10 +23,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use teda_text::tokenize;
+use teda_websim::index::check_index;
+use teda_websim::scoring::{self, PostingSource, Stats};
 use teda_websim::{
-    assemble_results, scoring, IndexParts, InvertedIndex, PageFields, PageId, SearchBackend,
-    WebCorpus, WebPage,
+    assemble_results, IndexParts, InvertedIndex, PageFields, PageId, SearchBackend, WebCorpus,
+    WebPage,
 };
 
 use crate::format::{
@@ -358,8 +359,9 @@ pub(crate) fn page_fields_at<'a>(buf: &'a [u8], spans: &[[Span; 3]], id: PageId)
 /// materializes each half independently on first touch.
 ///
 /// All structural invariants (offset monotonicity, posting page
-/// bounds, term uniqueness, length-table arity — exactly the checks
-/// `InvertedIndex::from_parts` makes) are established at open, so
+/// bounds and order, tf and length ranges, term uniqueness,
+/// length-table arity — exactly the checks `InvertedIndex::from_parts`
+/// makes) are established at open, so
 /// accessors cannot panic on any byte sequence that opened
 /// successfully.
 #[derive(Debug)]
@@ -432,30 +434,11 @@ impl CoreIndexView {
         let post_start = postings_sec.start + cur.position();
         let posting_bytes = cur.take(n_postings * 8, "posting arena")?;
         let postings_range = post_start..post_start + n_postings * 8;
-        // The same structural walk `InvertedIndex::from_parts` makes —
-        // reads only, so a forged arena costs bounded time and zero
-        // allocation.
-        let mut prev = 0u32;
-        for (i, b) in offset_bytes.chunks_exact(4).enumerate() {
-            let off = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
-            if i == 0 && off != 0 {
-                return Err(StoreError::Corrupt("offset table must start at 0".into()));
-            }
-            if off < prev {
-                return Err(StoreError::Corrupt("offset table must be monotonic".into()));
-            }
-            prev = off;
-        }
-        if prev as usize != n_postings {
-            return Err(StoreError::Corrupt(format!(
-                "offset table ends at {prev} but the arena holds {n_postings} postings"
-            )));
-        }
 
         let mut cur = Cursor::new(&bytes[docmeta_sec.clone()]);
         let n_doc_lens = cur.len_prefix(8, "doc length count")?;
         let len_start = docmeta_sec.start + cur.position();
-        cur.take(n_doc_lens * 8, "doc length table")?;
+        let doc_len_bytes = cur.take(n_doc_lens * 8, "doc length table")?;
         let doc_len_range = len_start..len_start + n_doc_lens * 8;
         let avg_len_bits = cur.u64("average length")?;
         let n_docs = cur.u64("document count")?;
@@ -466,14 +449,22 @@ impl CoreIndexView {
                 "{n_doc_lens} document lengths for {n_docs} documents"
             )));
         }
-        for b in posting_bytes.chunks_exact(8) {
-            let page = u32::from_le_bytes(b[..4].try_into().expect("4-byte chunk"));
-            if page as usize >= n_docs {
-                return Err(StoreError::Corrupt(format!(
-                    "posting references page {page} of a {n_docs}-document collection"
-                )));
-            }
-        }
+        // The same validating walk `InvertedIndex::from_parts` makes,
+        // straight over the bytes — reads only, so a forged arena costs
+        // bounded time and zero allocation.
+        let le_u32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+        check_index(
+            n_docs,
+            offset_bytes.chunks_exact(4).map(le_u32),
+            posting_bytes
+                .chunks_exact(8)
+                .map(|b| (le_u32(&b[..4]), le_u32(&b[4..]))),
+            doc_len_bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+            avg_len_bits,
+        )
+        .map_err(|e| StoreError::Corrupt(e.to_string()))?;
 
         Ok(CoreIndexView {
             buf,
@@ -497,62 +488,6 @@ impl CoreIndexView {
         u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("in-range offset")) as usize
     }
 
-    fn posting_at(&self, j: usize) -> (u32, f32) {
-        let at = self.postings.start + j * 8;
-        let page = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("in-range posting"));
-        let tf = f32::from_bits(u32::from_le_bytes(
-            self.buf[at + 4..at + 8]
-                .try_into()
-                .expect("in-range posting"),
-        ));
-        (page, tf)
-    }
-
-    /// Indexed length of document `i`, as stored.
-    pub(crate) fn doc_len_of(&self, i: usize) -> f64 {
-        let at = self.doc_len.start + i * 8;
-        f64::from_bits(u64::from_le_bytes(
-            self.buf[at..at + 8]
-                .try_into()
-                .expect("in-range doc length"),
-        ))
-    }
-
-    /// The dense id of `term`, if interned — a binary search through
-    /// the sorted permutation instead of a hash lookup.
-    pub(crate) fn term_id(&self, term: &str) -> Option<u32> {
-        self.term_order
-            .binary_search_by(|&tid| {
-                let s = self.term_spans[tid as usize];
-                self.buf[s.start..s.end].cmp(term.as_bytes())
-            })
-            .ok()
-            .map(|at| self.term_order[at])
-    }
-
-    /// Posting-list length of term `tid` (its raw document frequency).
-    pub(crate) fn postings_len(&self, tid: u32) -> usize {
-        self.offset_at(tid as usize + 1) - self.offset_at(tid as usize)
-    }
-
-    /// Visits term `tid`'s postings in stored order, straight off the
-    /// little-endian bytes.
-    pub(crate) fn for_each_posting(&self, tid: u32, visit: &mut dyn FnMut(u32, f32)) {
-        let (lo, hi) = (
-            self.offset_at(tid as usize),
-            self.offset_at(tid as usize + 1),
-        );
-        for j in lo..hi {
-            let (page, tf) = self.posting_at(j);
-            visit(page, tf);
-        }
-    }
-
-    /// Number of documents the index covers.
-    pub(crate) fn n_docs(&self) -> usize {
-        self.n_docs
-    }
-
     /// Size of the interned vocabulary (term ids are `0..n_terms()`).
     pub(crate) fn n_terms(&self) -> usize {
         self.term_spans.len()
@@ -565,35 +500,58 @@ impl CoreIndexView {
         self.term_spans.len() * std::mem::size_of::<Span>() + self.term_order.len() * 4
     }
 
-    /// BM25 top-`k` for `query`: the same posting walk feeding the same
-    /// [`teda_websim::scoring`] kernel as the eager index's `search`,
-    /// only the storage differs — so results are bit-identical.
+    /// BM25 top-`k` for `query`: [`scoring::accumulate`] over the
+    /// bytes in place, with the snapshot's own statistics — the eager
+    /// index's walk, only the storage differs, so results are
+    /// bit-identical.
     pub(crate) fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        if k == 0 || self.n_docs == 0 {
-            return Vec::new();
+        scoring::search(self, Stats::local(self.n_docs, self.avg_len), query, k)
+    }
+}
+
+impl PostingSource for CoreIndexView {
+    fn n_docs(&self) -> usize {
+        self.n_docs
+    }
+
+    /// A binary search through the sorted permutation instead of a hash
+    /// lookup.
+    fn term_id(&self, term: &str) -> Option<u32> {
+        self.term_order
+            .binary_search_by(|&tid| {
+                let s = self.term_spans[tid as usize];
+                self.buf[s.start..s.end].cmp(term.as_bytes())
+            })
+            .ok()
+            .map(|at| self.term_order[at])
+    }
+
+    fn postings_len(&self, tid: u32) -> usize {
+        self.offset_at(tid as usize + 1) - self.offset_at(tid as usize)
+    }
+
+    /// Straight off the little-endian bytes.
+    #[inline]
+    fn for_each_posting<F: FnMut(u32, f32)>(&self, tid: u32, mut visit: F) {
+        let lo = self.postings.start + self.offset_at(tid as usize) * 8;
+        let hi = self.postings.start + self.offset_at(tid as usize + 1) * 8;
+        for b in self.buf[lo..hi].chunks_exact(8) {
+            let page = u32::from_le_bytes(b[..4].try_into().expect("in-range posting"));
+            let tf = f32::from_bits(u32::from_le_bytes(
+                b[4..].try_into().expect("in-range posting"),
+            ));
+            visit(page, tf);
         }
-        let mut scores = vec![0.0f64; self.n_docs];
-        let mut touched: Vec<u32> = Vec::new();
-        for term in tokenize(query) {
-            let Some(tid) = self.term_id(&term) else {
-                continue;
-            };
-            let (lo, hi) = (
-                self.offset_at(tid as usize),
-                self.offset_at(tid as usize + 1),
-            );
-            let idf = scoring::idf(self.n_docs, hi - lo);
-            for j in lo..hi {
-                let (page, tf) = self.posting_at(j);
-                let i = page as usize;
-                let contrib = scoring::weight(idf, f64::from(tf), self.doc_len_of(i), self.avg_len);
-                if scores[i] == 0.0 {
-                    touched.push(page);
-                }
-                scores[i] += contrib;
-            }
-        }
-        scoring::rank_top_k(&scores, &touched, k)
+    }
+
+    #[inline]
+    fn doc_len_of(&self, doc: usize) -> f64 {
+        let at = self.doc_len.start + doc * 8;
+        f64::from_bits(u64::from_le_bytes(
+            self.buf[at..at + 8]
+                .try_into()
+                .expect("in-range doc length"),
+        ))
     }
 }
 
@@ -614,8 +572,8 @@ impl CoreIndexView {
 ///   to their `f32`/`f64` bit patterns at access time.
 ///
 /// Open cost is therefore CRC verification plus one validating walk
-/// (UTF-8, offset monotonicity, posting page bounds) — reads, not
-/// allocations. The same bit patterns flow into the same
+/// (UTF-8, then `teda_websim::index::check_index` over the index
+/// bytes) — reads, not allocations. The same bit patterns flow into the same
 /// [`teda_websim::scoring`] kernel in the same order as the eager
 /// index's `search`, so results are bit-identical (`exp_segments`
 /// asserts both the speedup and the identity).

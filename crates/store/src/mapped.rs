@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use teda_obs::{Histogram, StageTimer};
+use teda_websim::scoring::PostingSource;
 use teda_websim::{
     assemble_results, BaseCorpus, PageFields, PageId, SearchBackend, SearchResult, WebCorpus,
 };

@@ -104,6 +104,12 @@ impl ShardManifest {
             }
             prev = Some(gid);
         }
+        let avg_len = f64::from_bits(self.avg_len_bits);
+        if !(avg_len.is_finite() && avg_len >= 0.0) {
+            return corrupt(format!(
+                "global average length {avg_len} is not finite and non-negative"
+            ));
+        }
         for (tid, &df) in self.global_dfs.iter().enumerate() {
             if df == 0 || df > self.global_docs {
                 return corrupt(format!(
@@ -297,6 +303,20 @@ mod tests {
                 "df past global_docs",
                 ShardManifest {
                     global_dfs: vec![3, 1, 11],
+                    ..manifest()
+                },
+            ),
+            (
+                "NaN average length",
+                ShardManifest {
+                    avg_len_bits: f64::NAN.to_bits(),
+                    ..manifest()
+                },
+            ),
+            (
+                "negative average length",
+                ShardManifest {
+                    avg_len_bits: (-1.0f64).to_bits(),
                     ..manifest()
                 },
             ),

@@ -263,14 +263,14 @@ impl InvertedIndex {
         self.doc_len[i]
     }
 
+    fn stats(&self) -> scoring::Stats<'static> {
+        scoring::Stats::local(self.n_docs, self.avg_len)
+    }
+
     /// Scores `query` against the collection, returning up to `k` pages by
     /// descending BM25 score. Ties break by page id (stable, deterministic).
     pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        if k == 0 || self.n_docs == 0 {
-            return Vec::new();
-        }
-        let (scores, touched) = self.score_query(query);
-        scoring::rank_top_k(&scores, &touched, k)
+        scoring::search(self, self.stats(), query, k)
     }
 
     /// The historical ranking path — score everything, sort everything —
@@ -278,32 +278,36 @@ impl InvertedIndex {
     /// (tie order included) and as the baseline for microbenchmarks.
     #[doc(hidden)]
     pub fn search_full_sort(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        let (scores, touched) = self.score_query(query);
-        scoring::rank_full_sort(&scores, &touched, k)
+        scoring::with_scratch(|acc| {
+            scoring::accumulate(self, self.stats(), query, acc);
+            acc.full_sort(k)
+        })
+    }
+}
+
+impl scoring::PostingSource for InvertedIndex {
+    fn n_docs(&self) -> usize {
+        self.n_docs
     }
 
-    /// Accumulates BM25 contributions per page: dense score array plus
-    /// the list of touched pages (in first-touch order, which is
-    /// deterministic: query-term order, then posting order).
-    fn score_query(&self, query: &str) -> (Vec<f64>, Vec<u32>) {
-        let mut scores = vec![0.0f64; self.n_docs];
-        let mut touched: Vec<u32> = Vec::new();
-        for term in tokenize(query) {
-            let Some(tid) = self.term_id(&term) else {
-                continue;
-            };
-            let posts = self.postings_of(tid);
-            let idf = scoring::idf(self.n_docs, posts.len());
-            for p in posts {
-                let i = p.page.0 as usize;
-                let contrib = scoring::weight(idf, f64::from(p.tf), self.doc_len[i], self.avg_len);
-                if scores[i] == 0.0 {
-                    touched.push(p.page.0);
-                }
-                scores[i] += contrib;
-            }
+    fn term_id(&self, term: &str) -> Option<u32> {
+        InvertedIndex::term_id(self, term)
+    }
+
+    fn postings_len(&self, tid: u32) -> usize {
+        self.postings_of(tid).len()
+    }
+
+    #[inline]
+    fn for_each_posting<F: FnMut(u32, f32)>(&self, tid: u32, mut visit: F) {
+        for p in self.postings_of(tid) {
+            visit(p.page.0, p.tf);
         }
-        (scores, touched)
+    }
+
+    #[inline]
+    fn doc_len_of(&self, doc: usize) -> f64 {
+        self.doc_len[doc]
     }
 }
 
@@ -355,6 +359,94 @@ pub(crate) fn invalid_parts(msg: String) -> InvalidIndexParts {
     InvalidIndexParts::new(msg)
 }
 
+/// Checks an index's scoring inputs, as stored, against the kernel's
+/// input contract — the one validating walk behind both
+/// [`InvertedIndex::from_parts`] and `teda-store`'s in-place view:
+///
+/// * the offset table starts at 0, never decreases and ends at the
+///   arena length (so every term's slice is in bounds);
+/// * per term, pages lie in `0..n_docs` and strictly ascend (no page is
+///   scored twice for one term, and `df <= N` keeps idf positive);
+/// * every `tf` is finite and positive, every document length and the
+///   average length finite and non-negative (so every contribution is
+///   finite and positive).
+///
+/// `postings` is the whole arena as `(page id, tf bits)` pairs; lengths
+/// are `f64` bits.
+pub fn check_index(
+    n_docs: usize,
+    offsets: impl IntoIterator<Item = u32>,
+    postings: impl ExactSizeIterator<Item = (u32, u32)>,
+    doc_len_bits: impl IntoIterator<Item = u64>,
+    avg_len_bits: u64,
+) -> Result<(), InvalidIndexParts> {
+    let n_postings = postings.len();
+    let mut postings = postings;
+    let mut lo = 0usize;
+    for (i, off) in offsets.into_iter().enumerate() {
+        let hi = off as usize;
+        if i == 0 && hi != 0 {
+            return Err(InvalidIndexParts::new("offset table must start at 0"));
+        }
+        if hi < lo {
+            return Err(InvalidIndexParts::new("offset table must be monotonic"));
+        }
+        if hi > n_postings {
+            return Err(InvalidIndexParts::new(format!(
+                "offset {hi} points past the {n_postings}-posting arena"
+            )));
+        }
+        let mut prev: Option<u32> = None;
+        for (page, tf_bits) in postings.by_ref().take(hi - lo) {
+            let term = i - 1;
+            if page as usize >= n_docs {
+                return Err(InvalidIndexParts::new(format!(
+                    "posting references page {page} of a {n_docs}-document collection"
+                )));
+            }
+            if prev.is_some_and(|p| p >= page) {
+                return Err(InvalidIndexParts::new(format!(
+                    "term {term}: posting pages are not strictly ascending"
+                )));
+            }
+            let tf = f32::from_bits(tf_bits);
+            if !(tf.is_finite() && tf > 0.0) {
+                return Err(InvalidIndexParts::new(format!(
+                    "term {term}: tf {tf} is not finite and positive"
+                )));
+            }
+            prev = Some(page);
+        }
+        lo = hi;
+    }
+    if lo != n_postings {
+        return Err(InvalidIndexParts::new(format!(
+            "offset table ends at {lo} but the arena holds {n_postings} postings"
+        )));
+    }
+    let valid = |bits: u64| {
+        let x = f64::from_bits(bits);
+        x.is_finite() && x >= 0.0
+    };
+    if let Some((doc, bits)) = doc_len_bits
+        .into_iter()
+        .enumerate()
+        .find(|&(_, b)| !valid(b))
+    {
+        return Err(InvalidIndexParts::new(format!(
+            "document {doc} has length {}, not finite and non-negative",
+            f64::from_bits(bits)
+        )));
+    }
+    if !valid(avg_len_bits) {
+        return Err(InvalidIndexParts::new(format!(
+            "average length {} is not finite and non-negative",
+            f64::from_bits(avg_len_bits)
+        )));
+    }
+    Ok(())
+}
+
 impl std::fmt::Display for InvalidIndexParts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "invalid index parts: {}", self.0)
@@ -389,10 +481,10 @@ impl InvertedIndex {
     }
 
     /// Reassembles an index from deserialized parts, validating every
-    /// structural invariant the scoring loop relies on (offset
-    /// monotonicity, posting page bounds, document-count consistency)
-    /// so corrupt or adversarial snapshot bytes are rejected with a
-    /// typed error instead of panicking inside a later query.
+    /// invariant the scoring loop relies on (table arities, then
+    /// [`check_index`]) so corrupt or adversarial snapshot bytes are
+    /// rejected with a typed error instead of panicking or mis-ranking
+    /// inside a later query.
     ///
     /// For parts produced by [`to_parts`](Self::to_parts) the result is
     /// equal to the original index in every field, which makes every
@@ -407,19 +499,6 @@ impl InvertedIndex {
                 parts.terms.len()
             )));
         }
-        if parts.offsets.first() != Some(&0) {
-            return Err(InvalidIndexParts::new("offset table must start at 0"));
-        }
-        if parts.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(InvalidIndexParts::new("offset table must be monotonic"));
-        }
-        if *parts.offsets.last().expect("checked non-empty") as usize != parts.postings.len() {
-            return Err(InvalidIndexParts::new(format!(
-                "offset table ends at {} but the arena holds {} postings",
-                parts.offsets.last().expect("checked non-empty"),
-                parts.postings.len()
-            )));
-        }
         if parts.doc_len_bits.len() != n_docs {
             return Err(InvalidIndexParts::new(format!(
                 "{} document lengths for {} documents",
@@ -427,11 +506,13 @@ impl InvertedIndex {
                 n_docs
             )));
         }
-        if let Some(&(page, _)) = parts.postings.iter().find(|&&(p, _)| p as usize >= n_docs) {
-            return Err(InvalidIndexParts::new(format!(
-                "posting references page {page} of a {n_docs}-document collection"
-            )));
-        }
+        check_index(
+            n_docs,
+            parts.offsets.iter().copied(),
+            parts.postings.iter().copied(),
+            parts.doc_len_bits.iter().copied(),
+            parts.avg_len_bits,
+        )?;
         if u32::try_from(parts.terms.len()).is_err() {
             return Err(InvalidIndexParts::new("term vocabulary exceeds u32 ids"));
         }
@@ -834,6 +915,60 @@ mod tests {
             InvertedIndex::from_parts(bad).is_err(),
             "duplicate vocabulary term"
         );
+    }
+
+    /// Regression: a zero `tf` contributes nothing, so its page stayed
+    /// at score 0 and was listed again on the next term's touch — one
+    /// page returned twice.
+    #[test]
+    fn forged_zero_tf_is_rejected_instead_of_a_duplicate_hit() {
+        let forged = IndexParts {
+            terms: vec!["alpha".into(), "beta".into()],
+            offsets: vec![0, 1, 2],
+            postings: vec![(0, 0.0f32.to_bits()), (0, 1.0f32.to_bits())],
+            doc_len_bits: vec![2.0f64.to_bits()],
+            avg_len_bits: 2.0f64.to_bits(),
+            n_docs: 1,
+        };
+        assert!(InvertedIndex::from_parts(forged.clone()).is_err());
+        let mut fixed = forged;
+        fixed.postings[0].1 = 1.0f32.to_bits();
+        let idx = InvertedIndex::from_parts(fixed).expect("valid parts");
+        let hits = idx.search("alpha beta", 10);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits, idx.search_full_sort("alpha beta", 10));
+    }
+
+    #[test]
+    fn forged_scoring_inputs_are_rejected() {
+        let good = InvertedIndex::build(&collection()).to_parts();
+        let rejects = |label: &str, edit: &dyn Fn(&mut IndexParts)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert!(InvertedIndex::from_parts(bad).is_err(), "{label}");
+        };
+        for tf in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            rejects(&format!("tf {tf}"), &|p| p.postings[0].1 = tf.to_bits());
+        }
+        for len in [-1.0f64, f64::NAN, f64::INFINITY] {
+            rejects(&format!("doc_len {len}"), &|p| {
+                p.doc_len_bits[2] = len.to_bits()
+            });
+            rejects(&format!("avg_len {len}"), &|p| {
+                p.avg_len_bits = len.to_bits()
+            });
+        }
+        // A term's postings out of order, or one page listed twice —
+        // either can also push df above N and make idf negative.
+        let multi = (0..good.terms.len())
+            .find(|&t| good.offsets[t + 1] - good.offsets[t] >= 2)
+            .expect("some term has two postings");
+        let at = good.offsets[multi] as usize;
+        rejects("unsorted postings", &|p| p.postings.swap(at, at + 1));
+        rejects("repeated page", &|p| {
+            p.postings[at + 1].0 = p.postings[at].0
+        });
+        assert!(InvertedIndex::from_parts(good.clone()).is_ok());
     }
 
     #[test]

@@ -300,13 +300,20 @@ impl SegmentedCorpus {
     /// `WebCorpus::from_pages(self.to_pages()).index().search(query, k)`
     /// (see the module docs for why).
     pub fn search(&self, query: &str, k: usize) -> Vec<(PageId, f64)> {
-        let n = self.plan.n_docs;
-        if k == 0 || n == 0 {
+        if k == 0 || self.plan.n_docs == 0 {
             return Vec::new();
         }
+        scoring::with_scratch(|acc| {
+            self.accumulate(query, acc);
+            acc.top_k(k)
+        })
+    }
+
+    /// The two-pass overlay walk into `acc` (see the module docs).
+    fn accumulate(&self, query: &str, acc: &mut scoring::Accumulator) {
+        let n = self.plan.n_docs;
         let base = self.base.as_ref();
-        let mut scores = vec![0.0f64; n];
-        let mut touched: Vec<u32> = Vec::new();
+        acc.reset(n);
         let mut run_tids: Vec<Option<u32>> = Vec::with_capacity(self.plan.runs.len());
         for term in tokenize(query) {
             // Pass 1: the term's surviving document frequency — the
@@ -345,7 +352,6 @@ impl SegmentedCorpus {
             // survivors (remap is order-preserving), then each run.
             if let Some(tid) = base_tid {
                 let remap = self.plan.base_remap.as_deref();
-                let (scores, touched) = (&mut scores, &mut touched);
                 base.for_each_posting(tid, &mut |page, tf| {
                     let orig = page as usize;
                     let f = match remap {
@@ -361,11 +367,7 @@ impl SegmentedCorpus {
                         base.doc_len_of(orig),
                         self.plan.avg_len,
                     );
-                    let i = f as usize;
-                    if scores[i] == 0.0 {
-                        touched.push(f);
-                    }
-                    scores[i] += contrib;
+                    acc.add(f, contrib);
                 });
             }
             for (run, &tid) in self.plan.runs.iter().zip(&run_tids) {
@@ -383,15 +385,10 @@ impl SegmentedCorpus {
                         index.doc_len_of(local),
                         self.plan.avg_len,
                     );
-                    let i = f as usize;
-                    if scores[i] == 0.0 {
-                        touched.push(f);
-                    }
-                    scores[i] += contrib;
+                    acc.add(f, contrib);
                 }
             }
         }
-        scoring::rank_top_k(&scores, &touched, k)
     }
 
     fn run_parts(&self, run: &Run) -> (&[WebPage], &InvertedIndex) {

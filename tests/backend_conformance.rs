@@ -9,9 +9,14 @@
 //!
 //! * [`WebCorpus`] itself (eager heap index), fresh and store-loaded;
 //! * [`SegmentedCorpus`] layering journal segments over a heap base;
-//! * `ViewBackend` serving straight from the mmap'd snapshot; and
+//! * `ViewBackend` serving straight from the mmap'd snapshot;
 //! * [`SegmentedCorpus`] layering the same segments over the mapped
-//!   view — the beyond-RAM serving configuration.
+//!   view — the beyond-RAM serving configuration; and
+//! * heap and mapped cluster shards, merged as the router merges them.
+//!
+//! Every search reuses its thread's score buffer, so the suite also
+//! probes collections of different sizes back to back on one thread
+//! and across a rayon pool.
 //!
 //! A property test drives all of them through the same random
 //! `(base, ops, query, k)` space, before and after tier compaction, so
@@ -21,6 +26,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use teda::cluster::ShardBackend;
 use teda::store::{CorpusStore, DeltaOp, TierPolicy, ViewBackend};
 use teda::websim::{SearchBackend, WebCorpus, WebPage};
 
@@ -227,6 +233,151 @@ fn the_cluster_router_conforms_like_any_single_node_backend() {
             s.shutdown();
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// Every backend configuration of one logical collection, opened and
+/// ready to probe, with the oracles it answers to.
+struct Configs {
+    dir: std::path::PathBuf,
+    /// The rebuild of the logical page list (base plus journal).
+    oracle: WebCorpus,
+    /// The rebuild of the base snapshot alone (what a bare view serves).
+    base_oracle: WebCorpus,
+    /// `(label, backend, answers to the base oracle)`.
+    backends: Vec<(String, Box<dyn SearchBackend>, bool)>,
+    /// Heap and mapped shard sets of the logical collection.
+    shard_sets: Vec<(String, Vec<ShardBackend>)>,
+}
+
+/// A base of `n_base` pages plus a journal that adds pages and removes
+/// some base and added pages, opened as: eager heap, segmented over the
+/// heap base, segmented over the mapped view, the bare mapped view, and
+/// the folded collection split into 3 heap shards and 2 mapped shards.
+fn open_configs(tag: &str, seed: u64, n_base: usize) -> Configs {
+    use teda::cluster::{build_shard, partition_corpus, partition_pages};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base_pages: Vec<WebPage> = (0..n_base)
+        .map(|i| synth_page(&mut rng, &format!("http://{tag}/base/{i}")))
+        .collect();
+    let dir = temp_store(tag);
+    let store = CorpusStore::open(&dir).expect("open");
+    let base_oracle = WebCorpus::from_pages(base_pages.clone());
+    store.save(&base_oracle).expect("save");
+    let mut logical = base_pages;
+    let added: Vec<WebPage> = (0..3)
+        .map(|i| synth_page(&mut rng, &format!("http://{tag}/add/{i}")))
+        .collect();
+    let ops = vec![
+        DeltaOp::AddPages(added.clone()),
+        DeltaOp::RemovePages(vec![logical[0].url.clone(), added[1].url.clone()]),
+    ];
+    for op in &ops {
+        op.apply(&mut logical);
+    }
+    store.append_segment(&ops).expect("append");
+    let oracle = WebCorpus::from_pages(logical);
+
+    let eager = store.load().expect("eager load").corpus;
+    let seg = store.load_segmented().expect("segmented load").corpus;
+    let mapped = store.load_segmented_mapped().expect("mapped load");
+    let view = ViewBackend::new(mapped.snapshot.clone()).expect("view");
+    let backends: Vec<(String, Box<dyn SearchBackend>, bool)> = vec![
+        (format!("{tag}: eager WebCorpus"), Box::new(eager), false),
+        (format!("{tag}: segmented over heap"), Box::new(seg), false),
+        (
+            format!("{tag}: segmented over mapped view"),
+            Box::new(mapped.corpus),
+            false,
+        ),
+        (format!("{tag}: bare mapped view"), Box::new(view), true),
+    ];
+
+    let assignment = partition_pages(oracle.len(), 3);
+    let heap_shards = (0..3)
+        .map(|s| {
+            let (local, manifest) = build_shard(&oracle, s, 3, &assignment).expect("shard");
+            ShardBackend::from_parts(std::sync::Arc::new(local), manifest).expect("backend")
+        })
+        .collect();
+    let mapped_shards = partition_corpus(&oracle, 2, &dir.join("shards"))
+        .expect("partition")
+        .iter()
+        .map(|d| ShardBackend::open_mapped(d).expect("mapped shard"))
+        .collect();
+    Configs {
+        dir,
+        oracle,
+        base_oracle,
+        backends,
+        shard_sets: vec![
+            (format!("{tag}: 3 heap shards"), heap_shards),
+            (format!("{tag}: 2 mapped shards"), mapped_shards),
+        ],
+    }
+}
+
+/// One configuration's probes: the backends through the full oracle,
+/// each shard set merged by the router's `merge_topk` against the
+/// oracle's ranking bit for bit.
+fn probe_config(c: &Configs, which: usize) {
+    use teda::websim::merge_topk;
+
+    if let Some((label, backend, base_only)) = c.backends.get(which) {
+        let oracle = if *base_only {
+            &c.base_oracle
+        } else {
+            &c.oracle
+        };
+        assert_conforms(oracle, backend.as_ref(), label);
+        return;
+    }
+    let (label, shards) = &c.shard_sets[which - c.backends.len()];
+    for q in probes() {
+        for k in KS {
+            let merged = merge_topk(shards.iter().map(|s| s.search(&q, k)), k);
+            let want = c.oracle.index().search(&q, k);
+            let bits = |hits: &[(teda::websim::PageId, f64)]| -> Vec<(u32, u64)> {
+                hits.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&merged), bits(&want), "{label}: {q:?} k {k}");
+        }
+    }
+}
+
+/// Every search reuses its thread's score buffer, so a query must not
+/// depend on what the thread searched before. Probe large → small →
+/// large collections on one thread, in every backend configuration,
+/// then again with the probes spread over a rayon pool whose workers
+/// each see several configurations and sizes.
+#[test]
+fn reused_score_buffers_stay_bit_identical_across_collection_sizes() {
+    use rayon::prelude::*;
+
+    let configs = [
+        open_configs("reuse_large", 21, 400),
+        open_configs("reuse_small", 22, 3),
+        open_configs("reuse_large2", 23, 250),
+    ];
+    let n_each = configs[0].backends.len() + configs[0].shard_sets.len();
+    for c in &configs {
+        for which in 0..n_each {
+            probe_config(c, which);
+        }
+    }
+    // Interleave sizes so consecutive jobs on a worker alternate large
+    // and small collections.
+    let jobs: Vec<(usize, usize)> = (0..n_each)
+        .flat_map(|which| (0..configs.len()).map(move |c| (c, which)))
+        .collect();
+    let done: Vec<()> = jobs
+        .par_iter()
+        .map(|&(c, which)| probe_config(&configs[c], which))
+        .collect();
+    assert_eq!(done.len(), jobs.len());
+    for c in configs {
+        let _ = std::fs::remove_dir_all(&c.dir);
     }
 }
 

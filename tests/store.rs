@@ -987,6 +987,83 @@ fn crash_leftover_inside_a_merged_run_is_swept_and_overlap_is_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hand-encoded one-page corpus snapshot: terms `alpha` and `beta`
+/// each with one posting on page 0, `alpha`'s tf given as `alpha_tf`.
+fn one_page_snapshot(alpha_tf: f32) -> Vec<u8> {
+    use teda::store::format::{encode_container, put_string, put_u32, put_u64, KIND_CORPUS};
+
+    let mut pages = Vec::new();
+    put_u64(&mut pages, 1);
+    for field in ["http://forged/0", "Forged", "alpha beta"] {
+        put_string(&mut pages, field);
+    }
+    let mut terms = Vec::new();
+    put_u64(&mut terms, 2);
+    put_string(&mut terms, "alpha");
+    put_string(&mut terms, "beta");
+    let mut postings = Vec::new();
+    put_u64(&mut postings, 3);
+    for off in [0, 1, 2] {
+        put_u32(&mut postings, off);
+    }
+    put_u64(&mut postings, 2);
+    for tf in [alpha_tf, 1.0] {
+        put_u32(&mut postings, 0);
+        put_u32(&mut postings, tf.to_bits());
+    }
+    let mut docmeta = Vec::new();
+    put_u64(&mut docmeta, 1);
+    put_u64(&mut docmeta, 2.0f64.to_bits());
+    put_u64(&mut docmeta, 2.0f64.to_bits());
+    put_u64(&mut docmeta, 1);
+    encode_container(
+        KIND_CORPUS,
+        &[(1, pages), (2, terms), (3, postings), (4, docmeta)],
+    )
+}
+
+/// Regression: a snapshot whose `alpha` posting has tf 0 contributed
+/// nothing to page 0, so the page was touched again by `beta` and
+/// `alpha beta` returned it twice. Such bytes are now typed corrupt on
+/// the eager, lazy and mapped open paths; the same snapshot with a real
+/// tf serves the page once on all three.
+#[test]
+fn forged_zero_tf_snapshot_is_corrupt_on_every_open_path() {
+    use teda::store::ViewBackend;
+    use teda::websim::SearchBackend;
+
+    let dir = temp_store("forged_tf");
+    let store = CorpusStore::open(&dir).expect("open");
+    let snap = store.snapshot_path();
+    std::fs::create_dir_all(&dir).unwrap();
+
+    std::fs::write(&snap, one_page_snapshot(0.0)).unwrap();
+    assert!(
+        matches!(store.load(), Err(StoreError::Corrupt(_))),
+        "eager load must reject tf 0"
+    );
+    assert!(matches!(
+        decode_corpus_lazy(one_page_snapshot(0.0).into()),
+        Err(StoreError::Corrupt(_))
+    ));
+    let mapped = store.open_mapped().and_then(ViewBackend::new);
+    assert!(
+        matches!(mapped, Err(StoreError::Corrupt(_))),
+        "mapped open must reject tf 0"
+    );
+
+    std::fs::write(&snap, one_page_snapshot(1.0)).unwrap();
+    let eager = store.load().expect("valid snapshot loads").corpus;
+    let lazy = decode_corpus_lazy(one_page_snapshot(1.0).into()).expect("lazy opens");
+    let view = ViewBackend::new(store.open_mapped().expect("map")).expect("view");
+    let want = vec![PageId(0)];
+    let ids = |hits: Vec<(PageId, f64)>| hits.into_iter().map(|h| h.0).collect::<Vec<_>>();
+    assert_eq!(ids(eager.index().search("alpha beta", 10)), want);
+    assert_eq!(ids(lazy.search("alpha beta", 10)), want);
+    assert_eq!(ids(view.search("alpha beta", 10)), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A forged section length that points past the end of the container
 /// must come back as typed [`StoreError::Corrupt`] from *both* decode
 /// paths — the eager loader and the deferred decoder the mmap'd serving
