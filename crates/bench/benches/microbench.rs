@@ -23,7 +23,7 @@ use teda_kb::{CategoryNetwork, EntityType, World, WorldSpec};
 use teda_simkit::rng_from_seed;
 use teda_tabular::CellId;
 use teda_text::{FeatureExtractor, Stemmer};
-use teda_websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec};
+use teda_websim::{BingSim, SearchEngine, WebCorpus, WebCorpusSpec, WebPage};
 
 const SNIPPET: &str =
     "Melisse restaurant Santa Monica tasting menu cuisine chef wine dinner seasonal michelin \
@@ -39,6 +39,29 @@ fn bench_text(c: &mut Criterion) {
     fx.fit_transform(SNIPPET);
     group.bench_function("feature_extract_snippet", |b| {
         b.iter(|| fx.transform(black_box(SNIPPET)).nnz())
+    });
+
+    // The case above featurizes one fixed string, so its token memo is
+    // always warm on exactly those tokens. This one cycles through a few
+    // hundred distinct snippets of the tiny world's Web, against a
+    // vocabulary learnt from every other one of them.
+    let world = World::generate(WorldSpec::tiny(), 42);
+    let web = WebCorpus::build(&world, WebCorpusSpec::tiny(), 42);
+    let mut snippets: Vec<String> = web.pages().iter().map(WebPage::snippet).collect();
+    snippets.sort_unstable();
+    snippets.dedup();
+    let stride = (snippets.len() / 300).max(1);
+    let snippets: Vec<String> = snippets.into_iter().step_by(stride).collect();
+    let mut fx = FeatureExtractor::new();
+    for s in snippets.iter().step_by(2) {
+        fx.fit_transform(s);
+    }
+    let mut next = 0;
+    group.bench_function("feature_extract_distinct_snippets", |b| {
+        b.iter(|| {
+            next = (next + 1) % snippets.len();
+            fx.transform(black_box(&snippets[next])).nnz()
+        })
     });
     group.finish();
 }

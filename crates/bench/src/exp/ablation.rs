@@ -147,12 +147,12 @@ pub fn render(a: &Ablation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn ablation_runs_and_orders_sensibly() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let a = run(&fixture);
+        let fixture = quick_fixture();
+        let a = run(fixture);
         assert_eq!(a.variants.len(), 6);
         // Adding a reject class must not hurt precision for either model.
         let get = |label: &str| {

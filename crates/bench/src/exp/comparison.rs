@@ -131,12 +131,12 @@ pub fn render(c: &Comparison) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn comparison_shows_the_discovery_advantage() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let c = run(&fixture);
+        let fixture = quick_fixture();
+        let c = run(fixture);
         // The catalogue method is structurally blind to unknown entities.
         assert_eq!(
             c.catalogue_recall_unknown, 0.0,

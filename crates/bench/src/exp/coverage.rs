@@ -82,12 +82,12 @@ pub fn render(c: &Coverage) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn coverage_lands_near_the_papers_22_percent() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let c = run(&fixture);
+        let fixture = quick_fixture();
+        let c = run(fixture);
         assert!(
             (0.12..=0.32).contains(&c.overall),
             "coverage {} too far from 0.22",

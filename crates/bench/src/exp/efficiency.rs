@@ -183,6 +183,8 @@ mod tests {
 
     #[test]
     fn efficiency_matches_the_papers_narrative() {
+        // A private fixture, not the shared one: this test reads the
+        // fixture's virtual clock, which concurrent tests would advance.
         let fixture = Fixture::build(Scale::Quick, 42);
         let e = run(&fixture);
         // ~1 query per row at ~0.4s → virtual s/row in the 0.2–0.8 band.

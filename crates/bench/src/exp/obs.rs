@@ -390,11 +390,12 @@ pub fn to_json(r: &ObsReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn obs_experiment_asserts_its_own_invariants() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture, Scale::Quick);
+        let fixture = quick_fixture();
+        let r = run(fixture, Scale::Quick);
         assert!(r.identical, "telemetry perturbed an annotation");
         assert!(r.off_silent, "a disabled registry recorded something");
         assert!(r.exposition_stable && r.json_balanced);

@@ -99,12 +99,12 @@ pub fn render(s: &PreprocessStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn preprocessing_saves_most_queries() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let s = run(&fixture);
+        let fixture = quick_fixture();
+        let s = run(fixture);
         assert!(
             s.saving() > 0.5,
             "POI-heavy tables should skip most cells: {}",

@@ -375,12 +375,12 @@ pub fn to_json(r: &SegmentsReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn segments_experiment_asserts_its_own_invariants() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture);
+        let fixture = quick_fixture();
+        let r = run(fixture);
         assert!(r.incremental_path_taken, "indexed store fell off O(delta)");
         assert!(r.loads_identical, "incremental load diverged from legacy");
         assert!(r.live_speedup > 1.0, "live publish must beat re-indexing");

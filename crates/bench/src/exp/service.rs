@@ -217,12 +217,12 @@ pub fn to_json(r: &ServiceReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn service_experiment_completes_sheds_and_stays_deterministic() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture);
+        let fixture = quick_fixture();
+        let r = run(fixture);
         assert!(
             r.sustained.completed > 0,
             "sustained phase completed nothing"

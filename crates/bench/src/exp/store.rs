@@ -282,12 +282,12 @@ pub fn to_json(r: &StoreReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn store_experiment_asserts_its_own_invariants() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture);
+        let fixture = quick_fixture();
+        let r = run(fixture);
         assert!(r.load_identical, "loaded index diverged from the built one");
         assert!(
             r.compact_identical,

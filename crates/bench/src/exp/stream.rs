@@ -351,12 +351,12 @@ pub fn to_json(r: &StreamReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn stream_experiment_is_identical_bounded_and_backpressured() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture);
+        let fixture = quick_fixture();
+        let r = run(fixture);
         assert!(!r.runs.is_empty());
         for run in &r.runs {
             assert!(

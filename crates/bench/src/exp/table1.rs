@@ -150,12 +150,12 @@ pub fn render(t: &Table1) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn table1_runs_on_quick_fixture_with_paper_shape() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let t1 = run(&fixture);
+        let fixture = quick_fixture();
+        let t1 = run(fixture);
         assert_eq!(t1.rows.len(), 12);
         assert_eq!(t1.averages.len(), 3);
 

@@ -114,12 +114,12 @@ pub fn render(t: &Table2) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::{quick_fixture, Scale};
 
     #[test]
     fn table2_has_high_test_f_for_both_classifiers() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let t2 = run(&fixture);
+        let fixture = quick_fixture();
+        let t2 = run(fixture);
         assert_eq!(t2.rows.len(), 12);
         let mean_svm: f64 = t2.rows.iter().map(|r| r.svm_f).sum::<f64>() / 12.0;
         let mean_bayes: f64 = t2.rows.iter().map(|r| r.bayes_f).sum::<f64>() / 12.0;

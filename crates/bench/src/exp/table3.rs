@@ -104,12 +104,12 @@ impl Table3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn postprocessing_helps_and_mines_have_no_disambig_column() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let t3 = run(&fixture);
+        let fixture = quick_fixture();
+        let t3 = run(fixture);
         assert_eq!(t3.rows.len(), 12);
 
         // Table 3's headline: post-processing increases mean F.

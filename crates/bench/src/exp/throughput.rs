@@ -233,12 +233,12 @@ pub fn render(t: &Throughput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn throughput_batch_engine_is_deterministic_and_caches() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let t = run(&fixture);
+        let fixture = quick_fixture();
+        let t = run(fixture);
         assert!(
             t.deterministic,
             "parallel annotations must be bit-identical to sequential"

@@ -327,12 +327,12 @@ pub fn to_json(r: &WireReport) -> crate::report::BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Scale;
+    use crate::harness::quick_fixture;
 
     #[test]
     fn wire_experiment_is_deterministic_and_fair() {
-        let fixture = Fixture::build(Scale::Quick, 42);
-        let r = run(&fixture);
+        let fixture = quick_fixture();
+        let r = run(fixture);
         assert!(
             r.deterministic,
             "wire payloads diverged from the offline batch rendering"

@@ -164,6 +164,15 @@ impl Fixture {
     }
 }
 
+/// The quick seed-42 fixture, built on first use and shared by this
+/// crate's unit tests. Tests run concurrently, so a test whose assertions
+/// read the fixture's virtual clock or query counter builds its own.
+#[cfg(test)]
+pub(crate) fn quick_fixture() -> &'static Fixture {
+    static QUICK: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+    QUICK.get_or_init(|| Fixture::build(Scale::Quick, 42))
+}
+
 /// The gold standard of a table as `(cell, type)` pairs.
 pub fn gold_pairs(table: &GoldTable) -> Vec<(CellId, EntityType)> {
     table.entries.iter().map(|e| (e.cell, e.etype)).collect()
@@ -235,7 +244,7 @@ mod tests {
 
     #[test]
     fn quick_fixture_builds_and_is_consistent() {
-        let f = Fixture::build(Scale::Quick, 42);
+        let f = quick_fixture();
         assert_eq!(f.benchmark.tables.len(), 40);
         assert!(!f.corpus.train.is_empty());
         assert_eq!(f.corpus.labels.types().len(), 12);

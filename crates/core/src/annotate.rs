@@ -13,8 +13,6 @@
 //! computation is pure given the engine's response, and the parallel
 //! collect preserves candidate order.
 
-use std::collections::HashMap;
-
 use rayon::prelude::*;
 
 use teda_kb::EntityType;
@@ -129,20 +127,24 @@ fn vote_plain(
     classifier: &SnippetClassifier,
     config: &AnnotatorConfig,
 ) -> Option<CellAnnotation> {
-    let mut votes: HashMap<EntityType, usize> = HashMap::new();
+    // Tallies indexed by the `EntityType` discriminant.
+    let mut votes = [0usize; EntityType::ALL.len()];
     for r in results {
         if let Some(t) = classifier.classify(&r.snippet) {
             if config.targets.contains(&t) {
-                *votes.entry(t).or_insert(0) += 1;
+                votes[t as usize] += 1;
             }
         }
     }
-    // Deterministic argmax: highest vote count, earliest type on ties.
-    let (t_max, s_max) = votes
-        // teda-lint: allow(nondeterministic_iteration) -- argmax key (votes, Reverse(type)) is unique per entry, so the max is order-independent
-        .iter()
-        .map(|(&t, &s)| (t, s))
-        .max_by_key(|&(t, s)| (s, std::cmp::Reverse(t)))?;
+    // Deterministic argmax: highest vote count, earliest type on ties
+    // (types are scanned in order and only a strictly higher count wins).
+    let mut best: Option<(EntityType, usize)> = None;
+    for (&t, &s) in EntityType::ALL.iter().zip(&votes) {
+        if s > best.map_or(0, |(_, bs)| bs) {
+            best = Some((t, s));
+        }
+    }
+    let (t_max, s_max) = best?;
     (s_max > config.majority_threshold()).then(|| CellAnnotation {
         cell,
         etype: t_max,
@@ -308,6 +310,33 @@ mod tests {
         assert_eq!(anns[0].votes, 7);
         assert!((anns[0].score - 0.7).abs() < 1e-12, "Eq. 1: 7/10");
         assert_eq!(anns[1].etype, EntityType::Museum);
+    }
+
+    #[test]
+    fn vote_ties_go_to_the_earliest_type() {
+        // A tie above the k/2 threshold needs more than k results, so the
+        // rule is checked on `vote_plain` directly. Museum votes come
+        // first; Restaurant still wins as the earlier type.
+        let results: Vec<SearchResult> = [
+            "exhibition gallery paintings",
+            "gallery collection exhibition",
+            "menu cuisine dining",
+            "chef menu cuisine",
+        ]
+        .iter()
+        .map(|s| SearchResult {
+            url: String::new(),
+            title: String::new(),
+            snippet: (*s).to_owned(),
+        })
+        .collect();
+        let config = AnnotatorConfig {
+            top_k: 2,
+            ..config()
+        };
+        let ann = vote_plain(&results, CellId::new(0, 0), &classifier(), &config).unwrap();
+        assert_eq!(ann.etype, EntityType::Restaurant);
+        assert_eq!(ann.votes, 2);
     }
 
     #[test]

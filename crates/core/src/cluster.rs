@@ -113,15 +113,14 @@ pub fn best_cluster_vote(
 ) -> Option<(EntityType, usize)> {
     let mut best: Option<(EntityType, usize)> = None;
     for c in clusters {
-        let mut counts: std::collections::HashMap<EntityType, usize> =
-            std::collections::HashMap::new();
+        // Tallies indexed by the `EntityType` discriminant.
+        let mut counts = [0usize; EntityType::ALL.len()];
         for &i in &c.members {
             if let Some(t) = snippet_types.get(i).copied().flatten() {
-                *counts.entry(t).or_insert(0) += 1;
+                counts[t as usize] += 1;
             }
         }
-        // teda-lint: allow(nondeterministic_iteration) -- best is folded under the total order (votes, then smaller type), order-independent
-        for (t, votes) in counts {
+        for (&t, &votes) in EntityType::ALL.iter().zip(&counts) {
             // strict majority *within* the cluster keeps mixed clusters out
             if votes * 2 <= c.members.len() {
                 continue;

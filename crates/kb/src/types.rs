@@ -490,6 +490,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn all_is_in_discriminant_order() {
+        // Vote tallies index fixed arrays by `t as usize` and scan them
+        // in `ALL` order, so the two orders must agree (and match `Ord`).
+        for (i, &t) in EntityType::ALL.iter().enumerate() {
+            assert_eq!(t as usize, i, "{t:?}");
+        }
+        assert!(EntityType::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn target_and_distractor_partition() {
         assert_eq!(EntityType::TARGETS.len(), 12);
         assert_eq!(EntityType::DISTRACTORS.len(), 4);

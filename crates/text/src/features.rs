@@ -11,10 +11,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::porter::Stemmer;
 use crate::stopwords::is_stopword;
-use crate::tokenize::tokenize;
+use crate::tokenize::{lowercase_into, words};
 use crate::vocab::Vocabulary;
 
 /// A sparse feature vector: `(feature id, weight)` pairs sorted by id,
@@ -126,21 +127,84 @@ impl SparseVector {
 /// [`transform`](FeatureExtractor::transform), which skips unseen tokens.
 ///
 /// `transform` is the extractor's *frozen* mode: it takes `&self`, never
-/// touches the vocabulary, and keeps its stemming scratch in thread-local
-/// storage — so one extractor can featurize snippets from many threads
-/// concurrently (the batch annotation engine classifies cells in
-/// parallel against a single shared extractor).
-#[derive(Debug, Clone, Default)]
+/// touches the vocabulary, and keeps its scratch in thread-local storage —
+/// so one extractor can featurize snippets from many threads concurrently
+/// (the batch annotation engine classifies cells in parallel against a
+/// single shared extractor).
+///
+/// That scratch includes a per-thread token memo: it maps a lowercased
+/// surface token to what it contributes (a stopword, an out-of-vocabulary
+/// stem, or a feature id), so the stopword search, the Porter stemmer and
+/// the vocabulary lookup run once per distinct token per thread rather
+/// than once per occurrence. The memo holds at most a fixed number of
+/// tokens and is cleared when full. It is keyed to the extractor's
+/// vocabulary *generation*: every extractor draws a fresh generation when
+/// created and whenever `fit_transform` interns a new word (a clone keeps
+/// its generation, as it has the same vocabulary), and a thread's memo is
+/// cleared on first use with a different generation. The memo is a cache
+/// only: `transform` returns the same vector, bit for bit, with or
+/// without it.
+#[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     vocab: Vocabulary,
     stemmer: Stemmer,
+    /// Identifies the vocabulary's contents to the frozen path's memo.
+    generation: u64,
+}
+
+impl Default for FeatureExtractor {
+    fn default() -> Self {
+        FeatureExtractor {
+            vocab: Vocabulary::new(),
+            stemmer: Stemmer::new(),
+            generation: next_generation(),
+        }
+    }
+}
+
+/// Most distinct tokens a thread's frozen-path memo holds; reaching it
+/// clears the memo. A fixed bound, not a setting: a few hundred KB per
+/// thread at most.
+pub const TOKEN_MEMO_CAP: usize = 4096;
+
+/// Source of vocabulary generations. It starts at 1, so a thread's fresh
+/// scratch (generation 0) answers for no extractor.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    // Only uniqueness matters: the value publishes no other data.
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// What one lowercased surface token contributes to a frozen featurization.
+#[derive(Debug, Clone, Copy)]
+enum TokenClass {
+    /// A stopword: dropped, and not part of the snippet length.
+    Stop,
+    /// Its stem is out of vocabulary: part of the length, but no feature.
+    Unseen,
+    /// Its stem is this feature id.
+    Id(u32),
+}
+
+/// Per-thread scratch of the frozen (`&self`) path. The stemmer and the
+/// buffers are allocation optimisations and the memo is a cache of a pure
+/// function of (token, vocabulary), so a per-thread instance preserves
+/// pure-function semantics.
+#[derive(Default)]
+struct FrozenScratch {
+    stemmer: Stemmer,
+    /// The current token, lowercased.
+    lower: String,
+    /// The vocabulary generation `memo` answers for.
+    generation: u64,
+    memo: HashMap<String, TokenClass>,
+    /// Feature ids of the current snippet, one per occurrence.
+    ids: Vec<u32>,
 }
 
 thread_local! {
-    /// Per-thread stemming scratch for the frozen (`&self`) path; the
-    /// stemmer's reusable buffer is an allocation optimisation, not
-    /// state, so a per-thread instance preserves pure-function semantics.
-    static FROZEN_STEMMER: RefCell<Stemmer> = RefCell::new(Stemmer::new());
+    static FROZEN_SCRATCH: RefCell<FrozenScratch> = RefCell::new(FrozenScratch::default());
 }
 
 impl FeatureExtractor {
@@ -161,54 +225,94 @@ impl FeatureExtractor {
 
     /// Extracts features, interning unseen tokens (training mode).
     pub fn fit_transform(&mut self, text: &str) -> SparseVector {
-        let mut counts: HashMap<u32, u32> = HashMap::new();
+        let dim = self.vocab.len();
+        let mut lower = String::new();
+        let mut ids = Vec::new();
         let mut total = 0u32;
-        for tok in tokenize(text) {
-            if is_stopword(&tok) {
+        for raw in words(text) {
+            lowercase_into(raw, &mut lower);
+            if is_stopword(&lower) {
                 continue;
             }
-            let stem = self.stemmer.stem(&tok);
-            let id = self.vocab.intern(stem);
-            *counts.entry(id).or_insert(0) += 1;
+            ids.push(self.vocab.intern(self.stemmer.stem(&lower)));
             total += 1;
         }
-        Self::normalize(counts, total)
+        if self.vocab.len() != dim {
+            self.generation = next_generation();
+        }
+        Self::normalize(&mut ids, total)
     }
 
     /// Extracts features against the frozen vocabulary (prediction mode);
     /// unseen tokens are skipped but still count toward the snippet length,
     /// as they would for a classifier that has never seen the word.
     ///
-    /// Takes `&self`: the vocabulary is read-only here and the stemmer
-    /// scratch is thread-local, so concurrent inference needs no locking.
+    /// Takes `&self`: the vocabulary is read-only here and the scratch
+    /// (stemmer, buffers, token memo) is thread-local, so concurrent
+    /// inference needs no locking.
     pub fn transform(&self, text: &str) -> SparseVector {
-        FROZEN_STEMMER.with(|scratch| {
-            let stemmer = &mut *scratch.borrow_mut();
-            let mut counts: HashMap<u32, u32> = HashMap::new();
+        FROZEN_SCRATCH.with(|scratch| {
+            let FrozenScratch {
+                stemmer,
+                lower,
+                generation,
+                memo,
+                ids,
+            } = &mut *scratch.borrow_mut();
+            if *generation != self.generation {
+                memo.clear();
+                *generation = self.generation;
+            }
+            ids.clear();
             let mut total = 0u32;
-            for tok in tokenize(text) {
-                if is_stopword(&tok) {
-                    continue;
-                }
-                let stem = stemmer.stem(&tok);
-                total += 1;
-                if let Some(id) = self.vocab.get(stem) {
-                    *counts.entry(id).or_insert(0) += 1;
+            for raw in words(text) {
+                lowercase_into(raw, lower);
+                let class = match memo.get(lower.as_str()) {
+                    Some(&class) => class,
+                    None => {
+                        let class = self.classify_token(stemmer, lower);
+                        if memo.len() >= TOKEN_MEMO_CAP {
+                            memo.clear();
+                        }
+                        memo.insert(lower.clone(), class);
+                        class
+                    }
+                };
+                match class {
+                    TokenClass::Stop => {}
+                    TokenClass::Unseen => total += 1,
+                    TokenClass::Id(id) => {
+                        ids.push(id);
+                        total += 1;
+                    }
                 }
             }
-            Self::normalize(counts, total)
+            Self::normalize(ids, total)
         })
     }
 
-    fn normalize(counts: HashMap<u32, u32>, total: u32) -> SparseVector {
+    /// The uncached answer for one lowercased token.
+    fn classify_token(&self, stemmer: &mut Stemmer, lower: &str) -> TokenClass {
+        if is_stopword(lower) {
+            return TokenClass::Stop;
+        }
+        match self.vocab.get(stemmer.stem(lower)) {
+            Some(id) => TokenClass::Id(id),
+            None => TokenClass::Unseen,
+        }
+    }
+
+    /// Normalized TF: each distinct id weighs its occurrences in `ids`
+    /// divided by `total`, the snippet's content-token count.
+    fn normalize(ids: &mut [u32], total: u32) -> SparseVector {
         if total == 0 {
             return SparseVector::default();
         }
+        ids.sort_unstable();
         let denom = f64::from(total);
         SparseVector::from_pairs(
-            counts
-                .into_iter()
-                .map(|(id, c)| (id, f64::from(c) / denom))
+            ids.chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as f64 / denom))
                 .collect(),
         )
     }
@@ -288,5 +392,44 @@ mod tests {
         let v = fx.fit_transform("museums museum");
         assert_eq!(v.nnz(), 1, "museums and museum share a stem");
         assert!((v.sum() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memo_follows_vocabulary_growth() {
+        let mut fx = FeatureExtractor::new();
+        fx.fit_transform("museum paris");
+        assert_eq!(fx.transform("museum louvre").nnz(), 1);
+        // "louvre" is now memoized as unseen; interning it must invalidate.
+        fx.fit_transform("louvre");
+        let v = fx.transform("museum louvre");
+        assert_eq!(v.nnz(), 2);
+        assert!(v.entries().iter().all(|&(_, w)| w == 0.5));
+    }
+
+    #[test]
+    fn clones_share_answers_until_one_grows() {
+        let mut a = FeatureExtractor::new();
+        a.fit_transform("museum paris");
+        let mut b = a.clone();
+        assert_eq!(a.transform("museum hotel"), b.transform("museum hotel"));
+        b.fit_transform("hotel");
+        assert_eq!(a.transform("museum hotel").nnz(), 1);
+        assert_eq!(b.transform("museum hotel").nnz(), 2);
+    }
+
+    #[test]
+    fn memo_stays_bounded() {
+        // Twice the cap in distinct three-letter words.
+        let letter = |i: usize| char::from(b'a' + (i % 26) as u8);
+        let text: String = (0..2 * TOKEN_MEMO_CAP + 10)
+            .map(|i| format!("{}{}{} ", letter(i / 676), letter(i / 26), letter(i)))
+            .collect();
+        let fx = FeatureExtractor::new();
+        fx.transform(&text);
+        fx.transform(&text);
+        FROZEN_SCRATCH.with(|s| {
+            let len = s.borrow().memo.len();
+            assert!(len > 0 && len <= TOKEN_MEMO_CAP, "memo holds {len}");
+        });
     }
 }

@@ -20,6 +20,16 @@
 //!   [`features::FeatureExtractor`] train/predict pipeline;
 //! * [`similarity`] — cosine/Jaccard/Levenshtein, used by the catalogue
 //!   annotator's fuzzy name matching.
+//!
+//! Prediction-time featurization ([`FeatureExtractor::transform`]) runs
+//! once per retrieved snippet, k = 10 per candidate cell, so it keeps a
+//! per-thread token memo: lowercased surface token → stopword, unseen
+//! stem, or feature id. The memo holds at most
+//! [`features::TOKEN_MEMO_CAP`] tokens per thread and is cleared when
+//! full, and any vocabulary change (a `fit_transform` that interns a
+//! word, or a different extractor on the same thread) clears it on that
+//! thread's next use. It never changes a result bit: `transform` returns
+//! exactly what the uncached recipe above would.
 
 pub mod features;
 pub mod porter;

@@ -5,6 +5,12 @@
 //! the paper's "each token corresponding to a word in the English
 //! dictionary". Single-character tokens are dropped as well (they are
 //! artifacts of possessives and initials, not dictionary words).
+//!
+//! `words` is the one scanner: it yields each token as a borrowed slice
+//! of the input, before lowercasing. [`tokenize`] lowercases each into an
+//! owned `String`; the feature extractor instead lowercases into a reused
+//! buffer with `lowercase_into`, so a snippet costs no per-token
+//! allocation.
 
 /// Tokenizes `text` into lowercase word tokens.
 ///
@@ -12,10 +18,7 @@
 /// counts or filters. Each token is an owned `String` because lowercasing
 /// may change byte length (e.g. `É` → `é` is same length, but `İ` is not).
 pub fn tokenize(text: &str) -> impl Iterator<Item = String> + '_ {
-    TokenIter {
-        chars: text.char_indices().peekable(),
-        text,
-    }
+    words(text).map(str::to_lowercase)
 }
 
 /// Tokenizes into a vector; convenience for tests and one-shot callers.
@@ -32,42 +35,51 @@ pub fn tokenize_vec(text: &str) -> Vec<String> {
     tokenize(text).collect()
 }
 
-struct TokenIter<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
+/// The token boundaries of [`tokenize`], as borrowed slices of `text` that
+/// are not yet lowercased: maximal alphabetic runs of at least two
+/// characters.
+pub(crate) fn words(text: &str) -> Words<'_> {
+    Words { rest: text }
 }
 
-impl<'a> Iterator for TokenIter<'a> {
-    type Item = String;
+/// Writes the lowercase form of `raw` into `buf`, replacing its contents.
+/// Equal to `raw.to_lowercase()`; ASCII input takes a copy-only fast path.
+pub(crate) fn lowercase_into(raw: &str, buf: &mut String) {
+    buf.clear();
+    if raw.is_ascii() {
+        buf.push_str(raw);
+        buf.make_ascii_lowercase();
+    } else {
+        // `str::to_lowercase` is context-sensitive (a word-final `Σ`
+        // becomes `ς`), so non-ASCII tokens are not lowercased per char.
+        buf.push_str(&raw.to_lowercase());
+    }
+}
 
-    fn next(&mut self) -> Option<String> {
+/// Iterator returned by [`words`].
+pub(crate) struct Words<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
         loop {
             // skip non-alphabetic
-            let start = loop {
-                match self.chars.peek() {
-                    Some(&(i, c)) if c.is_alphabetic() => break i,
-                    Some(_) => {
-                        self.chars.next();
-                    }
-                    None => return None,
-                }
+            let Some(start) = self.rest.find(char::is_alphabetic) else {
+                self.rest = "";
+                return None;
             };
+            let run = &self.rest[start..];
             // consume the alphabetic run
-            let mut end = start;
-            while let Some(&(i, c)) = self.chars.peek() {
-                if c.is_alphabetic() {
-                    end = i + c.len_utf8();
-                    self.chars.next();
-                } else {
-                    break;
-                }
-            }
-            let raw = &self.text[start..end];
+            let end = run.find(|c: char| !c.is_alphabetic()).unwrap_or(run.len());
+            let (raw, rest) = run.split_at(end);
+            self.rest = rest;
             // single-character tokens are dropped (possessive 's', initials)
-            if raw.chars().count() >= 2 {
-                return Some(raw.to_lowercase());
+            if raw.chars().nth(1).is_some() {
+                return Some(raw);
             }
-            // else continue scanning for the next token
         }
     }
 }
@@ -118,6 +130,29 @@ mod tests {
     #[test]
     fn lowercasing_applied() {
         assert_eq!(tokenize_vec("LOUVRE Museum"), vec!["louvre", "museum"]);
+    }
+
+    #[test]
+    fn lowercase_into_matches_to_lowercase() {
+        let mut buf = String::from("stale");
+        for raw in [
+            "LOUVRE",
+            "Musée",
+            "İstanbul",
+            "ΟΔΟΣ",
+            "ΣΑ",
+            "straße",
+            "ǅemal",
+        ] {
+            lowercase_into(raw, &mut buf);
+            assert_eq!(buf, raw.to_lowercase(), "{raw}");
+        }
+    }
+
+    #[test]
+    fn words_are_the_raw_token_slices() {
+        let raw: Vec<&str> = words("Top-10 Musées, a I'm x2 ÉTÉ").collect();
+        assert_eq!(raw, vec!["Top", "Musées", "ÉTÉ"]);
     }
 
     #[test]
